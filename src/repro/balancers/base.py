@@ -250,18 +250,19 @@ class Strategy(ABC):
         """Migrate tasks ``src -> dest`` as one packed message."""
         if not tids:
             return
+        driver = self.driver
         if src == dest:
-            w = self.worker(src)
+            w = driver.workers[src]
             for tid in tids:
                 w.enqueue(tid, front=front)
             w.try_start()
             return
-        trace = self.driver.trace
-        payload_bytes = sum(trace.task(t).data_bytes for t in tids)
+        tasks = driver.trace.tasks
+        payload_bytes = sum(tasks[t].data_bytes for t in tids)
         # reliable is free on a fault-free machine; under a fault plan it
         # puts every migration inside the ack/retransmit envelope, which
         # is what makes task conservation provable (see repro.faults).
-        self.machine.node(src).send(
+        driver.machine.nodes[src].send(
             dest, "task", (list(tids), front),
             size=task_message_bytes(0) + payload_bytes,
             tasks_carried=len(tids),
@@ -270,7 +271,7 @@ class Strategy(ABC):
 
     def _on_task_message(self, msg: Message) -> None:
         tids, front = msg.payload
-        w = self.worker(msg.dest)
+        w = self.driver.workers[msg.dest]
         for tid in tids:
             w.enqueue(tid, front=front)
         self.on_tasks_received(msg.dest, tids)
@@ -477,15 +478,16 @@ class Driver:
     # ------------------------------------------------------------------
     def _task_finished(self, rank: int, tid: int) -> None:
         self.executed_at[tid] = rank
-        t = self.trace.task(tid)
-        same_wave = [c for c in t.children if self.trace.task(c).wave == t.wave]
-        later = [c for c in t.children if self.trace.task(c).wave != t.wave]
+        tasks = self.trace.tasks
+        t = tasks[tid]
+        same_wave = [c for c in t.children if tasks[c].wave == t.wave]
+        later = [c for c in t.children if tasks[c].wave != t.wave]
         for c in later:
-            c_task = self.trace.task(c)
+            c_task = tasks[c]
             pin = self._pin_home(c_task)
             hold_rank = pin if pin is not None else rank
             self._held[c_task.wave].append((hold_rank, c))
-        node = self.machine.node(rank)
+        node = self.machine.nodes[rank]
         if same_wave:
             # Task creation costs CPU; the children are placed (and the
             # completion hooks run) only after that cost has been paid —

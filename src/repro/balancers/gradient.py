@@ -83,7 +83,7 @@ class GradientModel(Strategy):
 
     # ------------------------------------------------------------------
     def _is_light(self, rank: int) -> bool:
-        return self.worker(rank).load <= self.low_mark
+        return self.driver.workers[rank].load <= self.low_mark
 
     def _my_proximity(self, rank: int) -> int:
         if self._is_light(rank):
@@ -101,7 +101,7 @@ class GradientModel(Strategy):
         if new != self.prox[rank]:
             self.prox[rank] = new
             self.proximity_updates += 1
-            node = self.machine.node(rank)
+            node = self.driver.machine.nodes[rank]
             for j in self.nbr_prox[rank]:
                 node.send(j, "grad.prox", (rank, new))
 
@@ -127,22 +127,24 @@ class GradientModel(Strategy):
             return
         self._emitting[rank] = True
         try:
-            w = self.worker(rank)
+            w = self.driver.workers[rank]
             if w.load <= self.high_mark:
                 return
             nbrs = self.nbr_prox[rank]
             if not nbrs:
                 return
-            dest, best = min(nbrs.items(), key=lambda kv: (kv[1], kv[0]))
+            best = min(nbrs.values())
             if best >= self.cap:
                 return  # no light node in sight
             taken = w.take(1)
             if not taken:
                 return
             tid = taken[0]
-            if self.driver.trace.task(tid).pinned is not None:
+            if self.driver.trace.tasks[tid].pinned is not None:
                 w.enqueue(tid, front=True)  # pinned tasks never migrate
                 return
+            # lowest rank among the neighbors at the minimum proximity
+            dest = min(j for j, p in nbrs.items() if p == best)
             self.send_tasks(rank, dest, [tid])
             self._refresh_proximity(rank)
         finally:

@@ -25,7 +25,7 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
-from .message import Message
+from .message import HEADER_BYTES, Message
 
 if TYPE_CHECKING:  # pragma: no cover
     from .event import EventHandle
@@ -61,16 +61,14 @@ class Node:
         #: fault injector: set by Machine.attach_faults; None = fault-free
         #: (one identity check per dispatch / reliable send, nothing else).
         self.faults = None
-        #: fail-stop flag: a crashed node executes nothing and receives
-        #: nothing from the moment of the crash on.
-        self.crashed = False
+        #: ``crashed or fenced or departed``, kept current by those three
+        #: properties' setters so the CPU and timer paths test one flag.
+        self._dark = False
+        self._crashed = False
+        self._fenced = False
+        self._departed = False
         #: transient stall: queued CPU work is held, nothing is lost.
         self.stalled = False
-        #: lease fence: a live node falsely declared dead behaves exactly
-        #: like a crashed one (executes nothing, receives nothing) until
-        #: the failure detector revives it — which is what keeps a false
-        #: positive from double-executing rescued tasks.
-        self.fenced = False
         #: bumped on fence/crash-like resets; in-flight CPU bursts carry
         #: the epoch they started under and are voided on mismatch.
         self._cpu_epoch = 0
@@ -81,15 +79,50 @@ class Node:
         #: ``"left"``.  The default keeps every non-elastic run on the
         #: pre-membership code paths.
         self.membership = "member"
-        #: set when a drained node goes dark.  Unlike ``crashed`` this is
-        #: voluntary: nothing was lost, and unlike ``fenced`` there is no
-        #: lease/refutation — a departed node stays dark until a future
-        #: join handshake readmits it.
-        self.departed = False
         #: sharded execution: which mesh shard owns this node (set by
         #: repro.shard while a sharded run is driven; None = unsharded).
         #: Used for per-shard CPU accounting and shard-grouped traces.
         self.shard: Optional[int] = None
+
+    # ------------------------------------------------------------------
+    # dark states: a node in any of them executes and receives nothing
+    # ------------------------------------------------------------------
+    @property
+    def crashed(self) -> bool:
+        """Fail-stop flag: a crashed node executes nothing and receives
+        nothing from the moment of the crash on."""
+        return self._crashed
+
+    @crashed.setter
+    def crashed(self, value: bool) -> None:
+        self._crashed = value
+        self._dark = value or self._fenced or self._departed
+
+    @property
+    def fenced(self) -> bool:
+        """Lease fence: a live node falsely declared dead behaves exactly
+        like a crashed one (executes nothing, receives nothing) until the
+        failure detector revives it — which is what keeps a false
+        positive from double-executing rescued tasks."""
+        return self._fenced
+
+    @fenced.setter
+    def fenced(self, value: bool) -> None:
+        self._fenced = value
+        self._dark = self._crashed or value or self._departed
+
+    @property
+    def departed(self) -> bool:
+        """Set when a drained node goes dark.  Unlike ``crashed`` this is
+        voluntary: nothing was lost, and unlike ``fenced`` there is no
+        lease/refutation — a departed node stays dark until a future join
+        handshake readmits it."""
+        return self._departed
+
+    @departed.setter
+    def departed(self, value: bool) -> None:
+        self._departed = value
+        self._dark = self._crashed or self._fenced or value
 
     # ------------------------------------------------------------------
     # message handling
@@ -144,8 +177,6 @@ class Node:
         it is exactly a plain send, so protocols can request reliability
         unconditionally.
         """
-        from .message import HEADER_BYTES
-
         if reliable and self.faults is not None:
             self.faults.transport.send(
                 self, dest, kind, payload,
@@ -176,13 +207,20 @@ class Node:
 
         Passing the callback's arguments positionally (instead of baking
         them into a closure) keeps the hot path allocation-free: one tuple
-        on the CPU queue, no lambda cell objects per message or task.
+        on the CPU queue, no lambda cell objects per message or task.  An
+        idle CPU with nothing queued starts the burst at once, without the
+        queue round trip.
         """
         if duration < 0:
             raise ValueError("duration must be >= 0")
         if category not in self.cpu_time:
             raise ValueError(f"unknown CPU category {category!r}")
-        if self.crashed or self.fenced or self.departed:
+        if self._dark:
+            return
+        if not (self._cpu_busy or self.stalled or self._cpu_queue):
+            self._cpu_busy = True
+            self.sim.schedule(duration, self._finish, self._cpu_epoch,
+                              duration, category, fn, args)
             return
         self._cpu_queue.append((duration, category, fn, args))
         if not self._cpu_busy:
@@ -213,11 +251,11 @@ class Node:
         return self.sim.schedule(delay, self._fire_timer, fn, args)
 
     def _fire_timer(self, fn: Callable[..., None], args: tuple) -> None:
-        if not self.crashed and not self.fenced and not self.departed:
+        if not self._dark:
             fn(*args)
 
     def _start_next(self) -> None:
-        if self.stalled or self.crashed or self.fenced or self.departed:
+        if self.stalled or self._dark:
             return
         duration, category, fn, args = self._cpu_queue.popleft()
         self._cpu_busy = True
@@ -232,7 +270,7 @@ class Node:
         fn: Optional[Callable[..., None]],
         args: tuple,
     ) -> None:
-        if self.crashed or epoch != self._cpu_epoch:
+        if self._crashed or epoch != self._cpu_epoch:
             # fail-stop or fence mid-burst: the work never completed,
             # charge nothing (a stale burst must not fire after a revive)
             return

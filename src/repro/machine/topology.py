@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Iterator, Optional, Sequence
 
 __all__ = [
     "Topology",
@@ -125,10 +125,22 @@ class MeshTopology(Topology):
             raise ValueError("mesh dimensions must be positive")
         self.n1 = n1
         self.n2 = n2
+        self._n = n1 * n2
+        #: row-major ``n x n`` hop-count table, built from the coordinate
+        #: formula on the first ``distance`` call (a topology that never
+        #: routes a message, e.g. a planner's, never pays for it)
+        self._dist: Optional[list[int]] = None
+
+    def __getstate__(self) -> dict:
+        # The table is a cache: leave it out of pickles (snapshots) and
+        # rebuild it on demand after a restore.
+        state = self.__dict__.copy()
+        state["_dist"] = None
+        return state
 
     @property
     def num_nodes(self) -> int:
-        return self.n1 * self.n2
+        return self._n
 
     # coordinates -------------------------------------------------------
     def coords(self, rank: int) -> tuple[int, int]:
@@ -165,9 +177,22 @@ class MeshTopology(Topology):
         return current
 
     def distance(self, src: int, dest: int) -> int:
-        i, j = self.coords(src)
-        di, dj = self.coords(dest)
-        return abs(i - di) + abs(j - dj)
+        n = self._n
+        if not (0 <= src < n and 0 <= dest < n):
+            self.check_rank(src)
+            self.check_rank(dest)
+        table = self._dist
+        if table is None:
+            table = self._dist = [
+                d for s in range(n) for d in self._distance_row(s)]
+        return table[src * n + dest]
+
+    def _distance_row(self, src: int) -> list[int]:
+        """Hop counts from ``src`` to every rank (row-major)."""
+        i, j = divmod(src, self.n2)
+        dr = [abs(i - di) for di in range(self.n1)]
+        dc = [abs(j - dj) for dj in range(self.n2)]
+        return [r + c for r in dr for c in dc]
 
     def diameter(self) -> int:
         return (self.n1 - 1) + (self.n2 - 1)
@@ -208,12 +233,12 @@ class TorusTopology(MeshTopology):
             return self.rank_of((i + self._step(i, di, self.n1)) % self.n1, j)
         return current
 
-    def distance(self, src: int, dest: int) -> int:
-        i, j = self.coords(src)
-        di, dj = self.coords(dest)
-        dr = min((di - i) % self.n1, (i - di) % self.n1)
-        dc = min((dj - j) % self.n2, (j - dj) % self.n2)
-        return dr + dc
+    def _distance_row(self, src: int) -> list[int]:
+        i, j = divmod(src, self.n2)
+        n1, n2 = self.n1, self.n2
+        dr = [min((di - i) % n1, (i - di) % n1) for di in range(n1)]
+        dc = [min((dj - j) % n2, (j - dj) % n2) for dj in range(n2)]
+        return [r + c for r in dr for c in dc]
 
     def diameter(self) -> int:
         return self.n1 // 2 + self.n2 // 2

@@ -55,13 +55,13 @@ def memory_audit(machine, lanes=None) -> dict:
     sim = machine.sim
     nodes = machine.nodes
 
-    # --- event heap: handles + their key tuples --------------------------
+    # --- event heap: entry tuples + the handles they carry ---------------
     queue = sim._queue
     n_events = len(queue)
     ev_bytes = 0
     if n_events:
         sample = queue[0]
-        per_event = _sizeof(sample) + _sizeof(sample.key)
+        per_event = _sizeof(sample) + _sizeof(sample[3])
         ev_bytes = n_events * per_event + _sizeof(queue)
     events = {
         "count": n_events,

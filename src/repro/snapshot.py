@@ -73,7 +73,11 @@ __all__ = [
 #: ``MembershipManager`` (epoch log, handshake/election timers) in the
 #: FaultInjector graph, and the driver's ``repinned``/``joined_nodes``/
 #: ``departed_nodes`` state.
-SNAPSHOT_VERSION = 4
+#: v5: event heap entries are ``(time, priority, seq, handle)`` tuples
+#: (the handle carries ``time`` instead of a key tuple), and ``Node``
+#: carries the ``_dark`` flag behind its ``crashed``/``fenced``/
+#: ``departed`` properties.
+SNAPSHOT_VERSION = 5
 
 _MAGIC = b"repro-snapshot\n"
 

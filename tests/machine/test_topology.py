@@ -211,3 +211,26 @@ def test_hypercube_distance_is_popcount(dim, a, b):
     n = cube.num_nodes
     a, b = a % n, b % n
     assert cube.distance(a, b) == (a ^ b).bit_count()
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 7), (4, 8), (8, 8)],
+                         ids=lambda s: f"{s[0]}x{s[1]}")
+def test_distance_table_matches_coordinate_formulas(shape):
+    n1, n2 = shape
+    mesh, torus = MeshTopology(n1, n2), TorusTopology(n1, n2)
+    n = n1 * n2
+    for src in range(n):
+        i, j = mesh.coords(src)
+        for dest in range(n):
+            di, dj = mesh.coords(dest)
+            assert mesh.distance(src, dest) == abs(i - di) + abs(j - dj)
+            ring = (min((di - i) % n1, (i - di) % n1)
+                    + min((dj - j) % n2, (j - dj) % n2))
+            assert torus.distance(src, dest) == ring
+    for topo in (mesh, torus):
+        for bad in (-1, n):
+            # out-of-range ranks raise instead of wrapping into the table
+            with pytest.raises(ValueError):
+                topo.distance(bad, 0)
+            with pytest.raises(ValueError):
+                topo.distance(0, bad)

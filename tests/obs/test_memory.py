@@ -29,3 +29,13 @@ def test_memory_audit_formats_as_table():
     text = format_memory_audit(memory_audit(sess._machine))
     assert "nodes" in text
     assert "bytes" in text
+
+
+def test_memory_audit_sizes_pending_heap_entries():
+    sess = Session("queens-10", strategy="RIPS", num_nodes=8, seed=1,
+                   scale="small").prepare()
+    sess.run(max_events=200)  # stop mid-run, with events still queued
+    sim = sess._machine.sim
+    events = memory_audit(sess._machine)["subsystems"]["events"]
+    assert events["count"] == len(sim._queue) > 0
+    assert events["bytes"] > 0
