@@ -3,8 +3,8 @@
 ``BENCH_events_per_sec.json`` answers "how fast is one kernel"; this
 package answers the paper's actual headline question — throughput under
 load.  ``python -m repro loadtest`` drives N concurrent sessions
-(a configurable mix of workloads × strategies × shard counts, closed- or
-open-loop arrival, seeded) through either the in-process runner's
+(a configurable mix of workloads × strategies, closed- or open-loop
+arrival, seeded) through either the in-process runner's
 ProcessPool or a live ``repro serve`` instance, and reports:
 
 * p50/p90/p99 cell latency and queue wait (honestly split — see the
@@ -14,7 +14,7 @@ ProcessPool or a live ``repro serve`` instance, and reports:
 * aggregate events/sec under contention,
 * per-subsystem time attribution from a traced sentinel run
   (:mod:`repro.obs.attribution`), and
-* a node/event/lane memory audit (:mod:`repro.obs.memory`).
+* a node/event memory audit (:mod:`repro.obs.memory`).
 
 The report is a versioned ``repro.report/1`` envelope; the committed
 ``BENCH_loadtest.json`` baseline plus :func:`check_loadtest` gate

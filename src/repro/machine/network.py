@@ -149,10 +149,6 @@ class IdealNetwork:
         self.stats = NetworkStats()
         #: observability: set by Machine.attach_tracer; None = no tracing
         self.tracer = None
-        #: sharded execution: set by repro.shard while a sharded run is
-        #: being driven; observes cross-shard traffic at the transport
-        #: layer.  None = zero overhead (one attribute check per send).
-        self.shard_router = None
 
     def transmit(self, msg: Message, tasks_carried: int = 0) -> None:
         """Inject ``msg``; it arrives after the modeled wire latency."""
@@ -169,9 +165,6 @@ class IdealNetwork:
                        {"dest": msg.dest, "size": msg.size, "hops": hops,
                         "tasks": tasks_carried})
         lat = self.latency.wormhole_latency(hops, msg.size)
-        sr = self.shard_router
-        if sr is not None:
-            sr.observe(msg, self.sim.now, self.sim.now + lat, tasks_carried)
         self.sim.schedule(lat, self._deliver, msg)
 
 
@@ -197,8 +190,6 @@ class ContentionNetwork:
         self.stats = NetworkStats()
         #: observability: set by Machine.attach_tracer; None = no tracing
         self.tracer = None
-        #: sharded execution hook (see IdealNetwork.shard_router)
-        self.shard_router = None
         # earliest free time of each directed link
         self._link_free: dict[tuple[int, int], float] = {}
         self._transmits_since_prune = 0
@@ -230,9 +221,6 @@ class ContentionNetwork:
             tr.counter(msg.src, "net", "link_backlog", self.sim.now,
                        max(0.0, t - self.sim.now
                            - occupancy * (len(path) - 1)))
-        sr = self.shard_router
-        if sr is not None:
-            sr.observe(msg, self.sim.now, t, tasks_carried)
         self.sim.schedule_at(t, self._deliver, msg)
         self._transmits_since_prune += 1
         if self._transmits_since_prune >= self._PRUNE_INTERVAL:

@@ -79,10 +79,6 @@ class Node:
         #: ``"left"``.  The default keeps every non-elastic run on the
         #: pre-membership code paths.
         self.membership = "member"
-        #: sharded execution: which mesh shard owns this node (set by
-        #: repro.shard while a sharded run is driven; None = unsharded).
-        #: Used for per-shard CPU accounting and shard-grouped traces.
-        self.shard: Optional[int] = None
 
     # ------------------------------------------------------------------
     # dark states: a node in any of them executes and receives nothing

@@ -26,7 +26,6 @@ __all__ = [
     "FullyConnectedTopology",
     "mesh_shape_for",
     "make_topology",
-    "min_cross_block_distance",
 ]
 
 
@@ -404,43 +403,6 @@ def mesh_shape_for(num_nodes: int) -> tuple[int, int]:
         if num_nodes % n2 == 0:
             return (num_nodes // n2, n2)
     raise ValueError(f"cannot factor {num_nodes}")  # pragma: no cover
-
-
-def min_cross_block_distance(topology: Topology,
-                             blocks: Sequence[tuple[int, int]]) -> int:
-    """Minimum hop distance between ranks in *different* blocks.
-
-    ``blocks`` are half-open contiguous rank ranges ``(lo, hi)`` covering
-    ``0..num_nodes``.  This is the quantity that sizes the conservative
-    time window of sharded execution: no cross-shard message can be in
-    flight for less than ``per_hop * min_cross_block_distance``.
-
-    Contiguous rank blocks on row-major meshes are row bands, so the
-    boundary ranks ``(hi-1, hi)`` of adjacent blocks are almost always
-    the closest pair; they are probed first and the exhaustive
-    cross-pair scan only runs when that shortcut is not already minimal.
-    """
-    if len(blocks) < 2:
-        raise ValueError("need at least two blocks for a cross distance")
-    best = None
-    for lo, hi in blocks[:-1]:
-        d = topology.distance(hi - 1, hi)
-        if best is None or d < best:
-            best = d
-    if best <= 1:
-        return best
-    for a in range(len(blocks)):
-        alo, ahi = blocks[a]
-        for b in range(a + 1, len(blocks)):
-            blo, bhi = blocks[b]
-            for u in range(alo, ahi):
-                for v in range(blo, bhi):
-                    d = topology.distance(u, v)
-                    if d < best:
-                        best = d
-                        if best <= 1:
-                            return best
-    return best
 
 
 def make_topology(kind: str, num_nodes: int, **kwargs) -> Topology:

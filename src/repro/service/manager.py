@@ -550,43 +550,6 @@ class SessionManager:
         self._h_exec = self.metrics.histogram("service.session_exec_s")
         self.last_recovery: Optional[dict] = None
 
-    # legacy counter names, now registry-backed (read-only)
-    @property
-    def submitted(self) -> int:
-        return self._c_submitted.value
-
-    @property
-    def rejected_quota(self) -> int:
-        return self._c_rejected_quota.value
-
-    @property
-    def rejected_admission(self) -> int:
-        return self._c_rejected_admission.value
-
-    @property
-    def shed_health(self) -> int:
-        return self._c_shed_health.value
-
-    @property
-    def coalesced_hits(self) -> int:
-        return self._c_coalesced.value
-
-    @property
-    def cache_hits(self) -> int:
-        return self._c_cache_hits.value
-
-    @property
-    def slice_failures(self) -> int:
-        return self._c_slice_failures.value
-
-    @property
-    def slice_timeouts(self) -> int:
-        return self._c_slice_timeouts.value
-
-    @property
-    def recovered_sessions(self) -> int:
-        return self._c_recovered.value
-
     # ------------------------------------------------------------------
     # admission helpers
     # ------------------------------------------------------------------
@@ -664,8 +627,7 @@ class SessionManager:
                 self._c_coalesced.inc()
                 return live
 
-        if (self.result_cache is not None and not request.trace
-                and request.shards < 2):
+        if self.result_cache is not None and not request.trace:
             hit = self.result_cache.get(request)
             if hit is not None:
                 self._c_cache_hits.inc()
@@ -720,16 +682,16 @@ class SessionManager:
             "queued": self._queued,
             "max_inflight": self.config.max_inflight,
             "queue_depth": self.config.queue_depth,
-            "submitted": self.submitted,
-            "coalesced": self.coalesced_hits,
-            "cache_hits": self.cache_hits,
-            "rejected_quota": self.rejected_quota,
-            "rejected_admission": self.rejected_admission,
-            "shed_health": self.shed_health,
+            "submitted": self._c_submitted.value,
+            "coalesced": self._c_coalesced.value,
+            "cache_hits": self._c_cache_hits.value,
+            "rejected_quota": self._c_rejected_quota.value,
+            "rejected_admission": self._c_rejected_admission.value,
+            "shed_health": self._c_shed_health.value,
             "health": self.health.state,
-            "slice_failures": self.slice_failures,
-            "slice_timeouts": self.slice_timeouts,
-            "recovered": self.recovered_sessions,
+            "slice_failures": self._c_slice_failures.value,
+            "slice_timeouts": self._c_slice_timeouts.value,
+            "recovered": self._c_recovered.value,
             "journal": {
                 "enabled": self.journal is not None,
                 "sessions": len(self.journal) if self.journal else 0,
@@ -797,8 +759,7 @@ class SessionManager:
         if faults and not self._fault_mode:
             self._fault_mode = True
             for rec in self.records.values():
-                if (rec.state == "running" and rec.request.shards < 2
-                        and not rec.pause_requested):
+                if rec.state == "running" and not rec.pause_requested:
                     rec.pause_requested = True
                     rec.health_paused = True
         elif not faults:
@@ -908,10 +869,6 @@ class SessionManager:
         rec = self.get(session_id)
         if rec.state not in _ACTIVE:
             raise _conflict(rec, "pause", "while it is queued or running")
-        if rec.request.shards >= 2:
-            raise _conflict(
-                rec, "pause",
-                "— sharded sessions run their windows to completion")
         rec.pause_requested = True
         await rec.wait_leaving("running")
         if rec.state == "queued":
@@ -1070,13 +1027,10 @@ class SessionManager:
         self._h_wait.observe(max(0.0, time.monotonic() - rec.created))
         run_started = time.monotonic()
         rec.transition("running")
-        sliced = rec.request.shards < 2
-        slice_events = max(1, self.config.slice_events)
         while True:
             t0 = time.monotonic()
             e0, _ = rec.session.progress()
-            metrics = await self._run_slice(
-                rec, loop, slice_events if sliced else None)
+            metrics = await self._run_slice(rec, loop)
             wall = max(1e-9, time.monotonic() - t0)
             rec.slices += 1
             # _run_slice may have rebuilt rec.session; re-read it
@@ -1088,7 +1042,7 @@ class SessionManager:
                 rec.metrics = metrics
                 self._note_membership(metrics)
                 if (self.result_cache is not None and not rec.request.trace
-                        and not rec.restored and rec.request.shards < 2):
+                        and not rec.restored):
                     # a straight start-to-finish run is exactly what
                     # execute_request() would have produced: cache it
                     # (failures here lose a cache entry, not a result)
@@ -1110,7 +1064,7 @@ class SessionManager:
                 await self._checkpoint(rec, loop)
                 rec.transition("paused", checkpoint=rec.checkpoint_key)
                 return
-            if (self.journal is not None and sliced
+            if (self.journal is not None
                     and self.config.checkpoint_every_slices > 0
                     and rec.slices % self.config.checkpoint_every_slices == 0):
                 await self._auto_checkpoint(rec, loop)
@@ -1139,8 +1093,7 @@ class SessionManager:
                 self._c_mem_elections.inc()
             self._c_mem_lost_tasks.inc(max(0, int(entry.get("lost_delta", 0))))
 
-    async def _run_slice(self, rec: SessionRecord, loop,
-                         max_events: Optional[int]):
+    async def _run_slice(self, rec: SessionRecord, loop):
         """One supervised slice: deadline, rebuild-on-failure, backoff.
 
         Returns the slice result (metrics or ``None``); raises
@@ -1151,6 +1104,7 @@ class SessionManager:
         are deterministic, so the eventual result is unchanged).
         """
         cfg = self.config
+        max_events = max(1, cfg.slice_events)
         policy = self._slice_policy
         rng = policy.rng(rec.id)
         attempts = 1 + max(0, cfg.slice_retries)
@@ -1162,9 +1116,7 @@ class SessionManager:
             def work(sess=sess, attempt=attempt):
                 if hook is not None:
                     hook(rec, attempt)
-                if max_events is not None:
-                    return sess.run(max_events=max_events)
-                return sess.run()
+                return sess.run(max_events=max_events)
 
             future = loop.run_in_executor(self._pool, work)
             try:

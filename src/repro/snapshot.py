@@ -54,7 +54,6 @@ __all__ = [
     "Snapshot",
     "SnapshotError",
     "SnapshotVersionError",
-    "SnapshotShardMismatch",
     "SnapshotCache",
     "capture",
     "restore",
@@ -77,7 +76,9 @@ __all__ = [
 #: (the handle carries ``time`` instead of a key tuple), and ``Node``
 #: carries the ``_dark`` flag behind its ``crashed``/``fenced``/
 #: ``departed`` properties.
-SNAPSHOT_VERSION = 5
+#: v6: sharded execution removed — ``Node.shard``, the networks'
+#: ``shard_router`` and the session meta's ``shards`` count are gone.
+SNAPSHOT_VERSION = 6
 
 _MAGIC = b"repro-snapshot\n"
 
@@ -96,28 +97,6 @@ class SnapshotVersionError(SnapshotError):
         )
         self.found = found
         self.expected = expected
-
-
-class SnapshotShardMismatch(SnapshotVersionError):
-    """A checkpoint's shard configuration disagrees with the restore's.
-
-    Raised by :meth:`repro.session.Session.restore` before any state is
-    adopted, so a stale ``--shards`` flag fails with the two counts
-    named instead of a confusing downstream pickle/driver error.
-    """
-
-    def __init__(self, found_shards: int, expected_shards: int) -> None:
-        def _label(n: int) -> str:
-            return f"{n}-shard" if n >= 2 else "unsharded"
-
-        SnapshotError.__init__(
-            self,
-            f"snapshot was captured from a {_label(found_shards)} session "
-            f"and cannot restore into a {_label(expected_shards)} "
-            f"configuration; re-create the checkpoint or match --shards"
-        )
-        self.found = found_shards
-        self.expected = expected_shards
 
 
 @dataclass(frozen=True)

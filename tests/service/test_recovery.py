@@ -163,6 +163,47 @@ def test_missing_checkpoint_blob_restarts_from_scratch(tmp_path):
     asyncio.run(main())
 
 
+def test_undecodable_journaled_request_is_skipped(tmp_path):
+    # Two sessions a crashed server left mid-run.  The first carries a
+    # plain v1 request and an auto-checkpoint; the second carries the
+    # "shards" field, which the v1 schema no longer accepts.  Recovery
+    # resumes the first bit-identically and counts the second as skipped
+    # instead of failing the whole replay.
+    store = LocalDirStore(tmp_path)
+    journal = SessionJournal(store)
+    req = _req(seed=65)
+    wire = {"api_version": 1, "workload": "queens-10", "strategy": "RIPS",
+            "num_nodes": 8, "seed": 65, "scale": "small"}
+    assert RunRequest.from_wire(wire) == req
+    good = "s0001-fab0001ab"
+    journal.admit(good, "tests", wire, n=1)
+    journal.record(good, {"kind": "state", "state": "running", "seq": 2})
+    sess = Session.from_request(req)
+    assert sess.run(max_events=300) is None
+    key = f"{good}-auto-0001"
+    store.put("sessions", key, sess.checkpoint().to_bytes())
+    journal.record(good, {"kind": "checkpoint", "auto": True, "seq": 3,
+                          "checkpoint": key})
+    bad = "s0002-fab0002ab"
+    journal.admit(bad, "tests", {**wire, "seed": 66, "shards": 2}, n=2)
+    journal.record(bad, {"kind": "state", "state": "running", "seq": 2})
+
+    async def main():
+        manager = SessionManager(_config(tmp_path), store=store)
+        summary = manager.recover()
+        assert summary["sessions"] == 1
+        assert summary["resumed"] == 1
+        assert summary["skipped"] == 1
+        assert bad not in manager.records
+        await _drain(manager)
+        rec = manager.records[good]
+        assert rec.state == "done"
+        assert _wire(rec.metrics) == _direct(req)
+        await manager.shutdown()
+
+    asyncio.run(main())
+
+
 def test_readmission_bypasses_quota_and_buckets_restart_full(tmp_path):
     # Pinned semantic: tenant token buckets are in-memory only.  A
     # restart rebuilds them FULL, and journal re-admission never charges
