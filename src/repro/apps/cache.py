@@ -1,9 +1,9 @@
 """Disk cache for workload traces.
 
-Generating a trace means actually running the application (solving
-14-Queens takes ~10 s of real CPU), but the trace is a pure function of
-the application parameters — so we pickle it once and reuse it across
-strategies, machine sizes, test runs, and benchmark runs.  The cache
+Generating a trace means actually running the application (15-Queens
+and IDA* config #3 take ~8 s of real CPU each), but the trace is a pure
+function of the application parameters — so we pickle it once and reuse
+it across strategies, machine sizes, test runs, and benchmark runs.  The cache
 directory defaults to ``<repo>/.trace_cache`` and can be moved with the
 ``REPRO_TRACE_CACHE`` environment variable.
 """
@@ -77,16 +77,24 @@ def cached_trace(
     # unique tmp per writer: parallel grid workers may build the same trace
     # concurrently, and a shared tmp path would interleave their writes
     tmp = Path(f"{path}.{os.getpid()}.tmp")
-    with tmp.open("wb") as fh:
-        pickle.dump(trace, fh, protocol=pickle.HIGHEST_PROTOCOL)
-    tmp.replace(path)
+    try:
+        with tmp.open("wb") as fh:
+            pickle.dump(trace, fh, protocol=pickle.HIGHEST_PROTOCOL)
+        tmp.replace(path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return trace
 
 
 def clear_trace_cache() -> int:
-    """Delete all cached traces; returns the number removed."""
+    """Delete all cached traces, and the temp files of writers killed
+    mid-write; returns the number of traces removed."""
+    cache = trace_cache_dir()
+    for p in cache.glob("*.pkl.*.tmp"):
+        p.unlink(missing_ok=True)
     removed = 0
-    for p in trace_cache_dir().glob("*.pkl"):
+    for p in cache.glob("*.pkl"):
         p.unlink()
         removed += 1
     return removed

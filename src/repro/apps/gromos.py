@@ -35,6 +35,9 @@ __all__ = ["GromosConfig", "gromos_trace", "pair_counts"]
 #: (~57 s => ~11 ms per charge-group task on average).
 SEC_PER_PAIR = 170e-6
 
+#: largest (groups x atoms) distance block ``pair_counts`` builds at once
+_BLOCK_PAIRS = 4096
+
 
 @dataclass(frozen=True)
 class GromosConfig:
@@ -65,6 +68,11 @@ def pair_counts(mol: Molecule, cutoff: float, periodic: bool = True) -> np.ndarr
     ``periodic`` (the default, as in a real solvated MD box) distances
     use the minimum-image convention, so there is no artificial density
     falloff at the box faces.
+
+    The groups are visited cell by cell: the atoms of a cell's 27
+    neighbour cells are gathered once, then tested against all of the
+    cell's groups in (groups x atoms) blocks of at most ``_BLOCK_PAIRS``
+    pairs, one 2-D array per axis.
     """
     centers = mol.group_centers()
     pos = mol.positions
@@ -73,18 +81,20 @@ def pair_counts(mol: Molecule, cutoff: float, periodic: bool = True) -> np.ndarr
     if periodic and ncell < 3:
         ncell = 1  # degenerate box: brute force over everything
     cell_edge = box / ncell
-    atom_cells = np.floor(pos / cell_edge).astype(np.int64).clip(0, ncell - 1)
-    atom_key = (atom_cells[:, 0] * ncell + atom_cells[:, 1]) * ncell + atom_cells[:, 2]
-    order = np.argsort(atom_key, kind="stable")
-    sorted_keys = atom_key[order]
-    sorted_pos = pos[order]
-    # bucket boundaries per cell key
-    starts = np.searchsorted(sorted_keys, np.arange(ncell ** 3))
-    ends = np.searchsorted(sorted_keys, np.arange(ncell ** 3), side="right")
+    order, starts, ends = _cell_buckets(pos, cell_edge, ncell)
+    atoms = pos[order].T.copy()  # (3, n_atoms) in cell order, per-axis rows
+    group_order, gstarts, gends = _cell_buckets(centers, cell_edge, ncell)
+    occupied = np.flatnonzero(gends > gstarts)
 
     counts = np.zeros(centers.shape[0], dtype=np.int64)
     c2 = cutoff * cutoff
-    ccell = np.floor(centers / cell_edge).astype(np.int64).clip(0, ncell - 1)
+
+    def squared(axis: int, coords: np.ndarray, block: np.ndarray) -> np.ndarray:
+        """(groups x atoms) squared offsets along one axis."""
+        d = coords[axis] - centers[block, axis, None]
+        if periodic:
+            d -= box * np.round(d / box)
+        return d * d
 
     def cell_range(c: int) -> list[int]:
         if periodic:
@@ -93,24 +103,40 @@ def pair_counts(mol: Molecule, cutoff: float, periodic: bool = True) -> np.ndarr
             return sorted({(c + d) % ncell for d in (-1, 0, 1)})
         return list(range(max(c - 1, 0), min(c + 2, ncell)))
 
-    for g in range(centers.shape[0]):
-        cx, cy, cz = ccell[g]
-        total = 0
-        for x in cell_range(cx):
-            for y in cell_range(cy):
-                for z in cell_range(cz):
-                    key = (x * ncell + y) * ncell + z
-                    s, e = starts[key], ends[key]
-                    if s == e:
-                        continue
-                    d = sorted_pos[s:e] - centers[g]
-                    if periodic:
-                        d -= box * np.round(d / box)
-                    total += int(np.count_nonzero(
-                        (d * d).sum(axis=1) <= c2
-                    ))
-        counts[g] = total
+    for key in occupied.tolist():
+        cx, rest = divmod(key, ncell * ncell)
+        cy, cz = divmod(rest, ncell)
+        keys = [
+            (x * ncell + y) * ncell + z
+            for x in cell_range(cx)
+            for y in cell_range(cy)
+            for z in cell_range(cz)
+        ]
+        idx = np.concatenate([np.arange(starts[k], ends[k]) for k in keys])
+        if not idx.size:
+            continue
+        near = atoms[:, idx]
+        groups = group_order[gstarts[key]:gends[key]]
+        step = max(1, _BLOCK_PAIRS // idx.size)
+        for lo in range(0, groups.size, step):
+            block = groups[lo:lo + step]
+            r2 = (squared(0, near, block) + squared(1, near, block)
+                  + squared(2, near, block))
+            counts[block] = np.count_nonzero(r2 <= c2, axis=1)
     return counts
+
+
+def _cell_buckets(points: np.ndarray, cell_edge: float, ncell: int
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sort ``points`` by cell.  Returns ``(order, starts, ends)``: the
+    points of cell key ``k`` are ``order[starts[k]:ends[k]]``."""
+    cells = np.floor(points / cell_edge).astype(np.int64).clip(0, ncell - 1)
+    keys = (cells[:, 0] * ncell + cells[:, 1]) * ncell + cells[:, 2]
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    all_keys = np.arange(ncell ** 3)
+    return (order, np.searchsorted(sorted_keys, all_keys),
+            np.searchsorted(sorted_keys, all_keys, side="right"))
 
 
 def _build(config: GromosConfig) -> WorkloadTrace:

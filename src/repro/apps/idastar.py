@@ -37,7 +37,7 @@ from typing import Optional
 
 from repro.tasks.trace import TraceTask, WorkloadTrace
 from .cache import cached_trace
-from .puzzle import GOAL, SIDE, _GOAL_POS, _MOVES, manhattan, random_walk_instance
+from .puzzle import SIDE, _GOAL_POS, _MOVES, manhattan, random_walk_instance
 
 __all__ = ["IDAStarConfig", "PAPER_CONFIGS", "idastar_trace", "ida_star_sequential"]
 
@@ -80,47 +80,71 @@ PAPER_CONFIGS: dict[int, IDAStarConfig] = {
 }
 
 
-def _bounded_dfs(board: tuple[int, ...], g: int, h: int, threshold: int,
-                 prev_blank: int) -> tuple[int, float, bool]:
-    """Cost-bounded DFS.  Returns (min_exceed, visits, found).
-
-    ``min_exceed`` is the smallest f that crossed the threshold (the
-    next iteration's threshold candidate), or a large sentinel if the
-    subtree was exhausted.
-    """
-    visits = 1
-    if h == 0:
-        return threshold, visits, True
-    min_exceed = 1 << 30
-    blank = board.index(0)
-    lst = list(board)
+def _steps(blank: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """``(dest, delta)`` for every move of the blank at ``blank``:
+    ``delta[tile]`` is the change in the Manhattan distance when
+    ``tile`` slides from cell ``dest`` into the blank."""
+    br, bc = divmod(blank, SIDE)
+    steps = []
     for dest in _MOVES[blank]:
+        dr, dc = divmod(dest, SIDE)
+        delta = [0]
+        for tile in range(1, 16):
+            gr, gc = _GOAL_POS[tile]
+            delta.append(abs(br - gr) + abs(bc - gc) - abs(dr - gr) - abs(dc - gc))
+        steps.append((dest, tuple(delta)))
+    return tuple(steps)
+
+
+#: the moves of the blank from each cell, in ``_MOVES`` order
+_STEPS = tuple(_steps(blank) for blank in range(16))
+
+#: ``min_exceed`` of a subtree in which the threshold cut off no move
+_NO_EXCEED = 1 << 30
+
+
+def _count(board: list[int], blank: int, g: int, h: int, threshold: int,
+           prev_blank: int) -> tuple[int, int, bool]:
+    """Cost-bounded DFS over ``board`` in place (restored on return).
+    Returns ``(min_exceed, visits, found)``."""
+    if h == 0:
+        return threshold, 1, True
+    visits = 1
+    min_exceed = _NO_EXCEED
+    g1 = g + 1
+    for dest, delta in _STEPS[blank]:
         if dest == prev_blank:
             continue
-        tile = lst[dest]
-        gr, gc = _GOAL_POS[tile]
-        # incremental Manhattan update for sliding `tile` into `blank`
-        dr, dc = divmod(dest, SIDE)
-        br, bc = divmod(blank, SIDE)
-        old_d = abs(dr - gr) + abs(dc - gc)
-        new_d = abs(br - gr) + abs(bc - gc)
-        nh = h - old_d + new_d
-        nf = g + 1 + nh
+        tile = board[dest]
+        nh = h + delta[tile]
+        nf = g1 + nh
         if nf > threshold:
             if nf < min_exceed:
                 min_exceed = nf
             continue
-        lst[blank], lst[dest] = tile, 0
-        sub_exceed, sub_visits, found = _bounded_dfs(
-            tuple(lst), g + 1, nh, threshold, blank
-        )
-        lst[dest], lst[blank] = tile, 0
+        board[blank] = tile
+        board[dest] = 0
+        sub_exceed, sub_visits, found = _count(board, dest, g1, nh,
+                                               threshold, blank)
+        board[dest] = tile
+        board[blank] = 0
         visits += sub_visits
         if found:
             return threshold, visits, True
         if sub_exceed < min_exceed:
             min_exceed = sub_exceed
     return min_exceed, visits, False
+
+
+def _bounded_dfs(board: tuple[int, ...], g: int, h: int, threshold: int,
+                 prev_blank: int) -> tuple[int, int, bool]:
+    """Cost-bounded DFS.  Returns (min_exceed, visits, found).
+
+    ``min_exceed`` is the smallest f that crossed the threshold (the
+    next iteration's threshold candidate), or a large sentinel if the
+    subtree was exhausted.
+    """
+    return _count(list(board), board.index(0), g, h, threshold, prev_blank)
 
 
 def ida_star_sequential(board: tuple[int, ...], max_iterations: int = 60
@@ -138,79 +162,69 @@ def ida_star_sequential(board: tuple[int, ...], max_iterations: int = 60
         visits += v
         if found:
             return threshold, visits, it
-        if exceed >= (1 << 30):
+        if exceed >= _NO_EXCEED:
             raise RuntimeError("search space exhausted without a solution")
         threshold = exceed
     raise RuntimeError("max_iterations exceeded")
 
 
-class _Annotated:
-    """A shallow annotated node of one iteration's search tree."""
+def _walk(board: list[int], blank: int, g: int, h: int, threshold: int,
+          prev_blank: int, depth_budget: int, split_budget: int) -> list:
+    """Cost-bounded DFS over ``board`` in place that keeps per-child
+    subtree sizes down to ``depth_budget`` plies (one pass; below the
+    budget it is the plain counting DFS).
 
-    __slots__ = ("visits", "children", "exceed", "found")
-
-    def __init__(self) -> None:
-        self.visits = 1
-        self.children: Optional[list["_Annotated"]] = None
-        self.exceed = 1 << 30
-        self.found = False
-
-
-def _annotated_dfs(board: tuple[int, ...], g: int, h: int, threshold: int,
-                   prev_blank: int, depth_budget: int,
-                   split_budget: int) -> _Annotated:
-    """Cost-bounded DFS that keeps per-child subtree sizes down to
-    ``depth_budget`` plies (one pass; below the budget it degenerates to
-    the plain counting DFS)."""
-    node = _Annotated()
+    Returns the node ``[visits, exceed, found, children]``; ``children``
+    (the nodes of the successors searched, in move order) is None when
+    the subtree fits in ``split_budget`` visits.
+    """
     if h == 0:
-        node.exceed = threshold
-        node.found = True
-        return node
-    blank = board.index(0)
-    lst = list(board)
-    children: list[_Annotated] = []
-    for dest in _MOVES[blank]:
+        return [1, threshold, True, None]
+    visits = 1
+    exceed = _NO_EXCEED
+    found = False
+    children: list[list] = []
+    g1 = g + 1
+    for dest, delta in _STEPS[blank]:
         if dest == prev_blank:
             continue
-        tile = lst[dest]
-        gr, gc = _GOAL_POS[tile]
-        dr, dc = divmod(dest, SIDE)
-        br, bc = divmod(blank, SIDE)
-        nh = h - (abs(dr - gr) + abs(dc - gc)) + (abs(br - gr) + abs(bc - gc))
-        nf = g + 1 + nh
+        tile = board[dest]
+        nh = h + delta[tile]
+        nf = g1 + nh
         if nf > threshold:
-            if nf < node.exceed:
-                node.exceed = nf
+            if nf < exceed:
+                exceed = nf
             continue
-        lst[blank], lst[dest] = tile, 0
-        child_board = tuple(lst)
-        lst[dest], lst[blank] = tile, 0
+        board[blank] = tile
+        board[dest] = 0
         if depth_budget > 1:
-            child = _annotated_dfs(child_board, g + 1, nh, threshold, blank,
-                                   depth_budget - 1, split_budget)
+            child = _walk(board, dest, g1, nh, threshold, blank,
+                          depth_budget - 1, split_budget)
         else:
-            child = _Annotated()
-            child.exceed, child.visits, child.found = _bounded_dfs(
-                child_board, g + 1, nh, threshold, blank
-            )
+            sub_exceed, sub_visits, sub_found = _count(board, dest, g1, nh,
+                                                       threshold, blank)
+            child = [sub_visits, sub_exceed, sub_found, None]
+        board[dest] = tile
+        board[blank] = 0
         children.append(child)
-        node.visits += child.visits
-        node.found = node.found or child.found
-        if child.exceed < node.exceed:
-            node.exceed = child.exceed
-        if node.found:
+        visits += child[0]
+        if child[1] < exceed:
+            exceed = child[1]
+        if child[2]:
+            found = True
             break
     # memory guard: a subtree at or below the split budget becomes one
     # task anyway, so its internal annotation is dead weight — dropping
     # it here keeps the retained skeleton at O(total_visits / budget)
     # nodes instead of O(total_visits)
-    node.children = None if node.visits <= split_budget else children
-    return node
+    return [visits, exceed, found,
+            None if visits <= split_budget else children]
 
 
 def _build(config: IDAStarConfig) -> WorkloadTrace:
     board = config.board()
+    cells = list(board)
+    blank = board.index(0)
     h0 = manhattan(board)
     threshold = h0
     budget = config.split_budget
@@ -219,24 +233,24 @@ def _build(config: IDAStarConfig) -> WorkloadTrace:
     found = False
 
     for wave in range(config.max_iterations):
-        root = _annotated_dfs(board, 0, h0, threshold, -1, SPLIT_DEPTH_LIMIT,
-                              budget)
-        found = root.found
+        visits, exceed, found, children = _walk(
+            cells, blank, 0, h0, threshold, -1, SPLIT_DEPTH_LIMIT, budget)
 
         driver_id = len(tasks)
         tasks.append(None)  # type: ignore[arg-type]  # placeholder
 
-        def emit(node: _Annotated, wave: int) -> int:
-            """Emit the task (sub)tree for an annotated node; returns id."""
+        def emit(node: list, wave: int) -> int:
+            """Emit the task (sub)tree for a walked node; returns id."""
             tid = len(tasks)
             tasks.append(None)  # type: ignore[arg-type]
-            if node.visits <= budget or not node.children:
+            visits, _, _, children = node
+            if visits <= budget or not children:
                 tasks[tid] = TraceTask(
-                    tid, work=float(node.visits), wave=wave,
+                    tid, work=float(visits), wave=wave,
                     label="ida-search",
                 )
             else:
-                child_ids = tuple(emit(c, wave) for c in node.children)
+                child_ids = tuple(emit(c, wave) for c in children)
                 tasks[tid] = TraceTask(
                     tid, work=float(1 + len(child_ids)), wave=wave,
                     children=child_ids, label="ida-expand",
@@ -246,15 +260,15 @@ def _build(config: IDAStarConfig) -> WorkloadTrace:
         # the driver owns the iteration root's expansion; its children
         # are the root's successors (or, for a tiny iteration, a single
         # search task covering the whole tree)
-        if root.visits <= budget or not root.children:
+        if visits <= budget or not children:
             leaf_id = len(tasks)
             tasks.append(
-                TraceTask(leaf_id, work=float(root.visits), wave=wave,
+                TraceTask(leaf_id, work=float(visits), wave=wave,
                           label="ida-search")
             )
             search_ids = (leaf_id,)
         else:
-            search_ids = tuple(emit(c, wave) for c in root.children)
+            search_ids = tuple(emit(c, wave) for c in children)
         tasks[driver_id] = TraceTask(
             driver_id,
             work=float(1 + len(search_ids)),
@@ -274,9 +288,9 @@ def _build(config: IDAStarConfig) -> WorkloadTrace:
         prev_driver = driver_id
         if found:
             break
-        if root.exceed >= (1 << 30):
+        if exceed >= _NO_EXCEED:
             raise RuntimeError("search space exhausted without a solution")
-        threshold = root.exceed
+        threshold = exceed
     else:
         raise RuntimeError("max_iterations exceeded while building IDA* trace")
 

@@ -21,7 +21,10 @@ sequential time to the same ballpark as the paper's i860 Paragon runs
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.tasks.trace import TraceTask, WorkloadTrace
 from .cache import cached_trace
@@ -30,6 +33,10 @@ __all__ = ["QueensConfig", "nqueens_trace", "solve_queens", "count_solutions"]
 
 #: seconds of simulated CPU per search-tree node visit
 SEC_PER_VISIT = 2e-6
+
+#: prefix subtrees counted together in one numpy pass of the trace
+#: builder; bounds the widest level's arrays (and so the memory peak)
+_BATCH = 32
 
 
 @dataclass(frozen=True)
@@ -42,6 +49,8 @@ class QueensConfig:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("n must be >= 1")
+        if self.n > 62:
+            raise ValueError("n must be <= 62 (int64 bitmasks)")
         if not 0 <= self.split_depth <= self.n:
             raise ValueError("split_depth must be in [0, n]")
 
@@ -72,6 +81,82 @@ def solve_queens(n: int, cols: int = 0, d1: int = 0, d2: int = 0) -> tuple[int, 
 def count_solutions(n: int) -> int:
     """Total solutions of the n-queens problem (reference oracle)."""
     return solve_queens(n)[0]
+
+
+def _mirror(n: int, state: tuple[int, int, int]) -> tuple[int, int, int]:
+    """The column-reflected state: reflection swaps the two diagonals."""
+    cols, left, right = state
+
+    def rev(x: int) -> int:
+        return int(format(x, f"0{n}b")[::-1], 2)
+
+    return rev(cols), rev(right), rev(left)
+
+
+def _count_subtrees(n: int, states: Iterable[tuple[int, int, int]]
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """``solve_queens(n, *state)`` for every state: the arrays of
+    solutions and of visits, in input order.
+
+    A state and its mirror image root congruent subtrees, so each mirror
+    pair is searched once.  The distinct subtrees are then expanded
+    level by level in numpy, ``_BATCH`` roots at a time: each level is
+    one array of live states with the index of the root it descends
+    from, and the per-root visit and solution counts are bincounts of
+    that index.
+    """
+    slot: dict[tuple[int, int, int], int] = {}
+    roots: list[tuple[int, int, int]] = []
+    which = []
+    for st in states:
+        i = slot.get(st)
+        if i is None:
+            i = slot.get(_mirror(n, st))
+            if i is None:
+                i = slot[st] = len(roots)
+                roots.append(st)
+        which.append(i)
+    del slot
+
+    full = (1 << n) - 1
+    sols = np.zeros(len(roots), dtype=np.int64)
+    visits = np.zeros(len(roots), dtype=np.int64)
+    for lo in range(0, len(roots), _BATCH):
+        batch = np.array(roots[lo:lo + _BATCH], dtype=np.int64).reshape(-1, 3)
+        m = batch.shape[0]
+        cols, left, right = batch[:, 0], batch[:, 1], batch[:, 2]
+        owner = np.arange(m)
+        while owner.size:
+            visits[lo:lo + m] += np.bincount(owner, minlength=m)
+            done = cols == full
+            if done.any():
+                sols[lo:lo + m] += np.bincount(owner[done], minlength=m)
+            # children: peel the lowest free bit off every state that
+            # still has one, until none has
+            free = full & ~(cols | left | right)
+            kids_c, kids_l, kids_r, kids_o = [], [], [], []
+            while True:
+                live = free != 0
+                if not live.all():
+                    free, cols, left, right, owner = (
+                        free[live], cols[live], left[live], right[live],
+                        owner[live])
+                if not free.size:
+                    break
+                bit = free & -free
+                free ^= bit
+                kids_c.append(cols | bit)
+                kids_l.append(((left | bit) << 1) & full)
+                kids_r.append((right | bit) >> 1)
+                kids_o.append(owner)
+            if not kids_o:
+                break
+            cols = np.concatenate(kids_c)
+            left = np.concatenate(kids_l)
+            right = np.concatenate(kids_r)
+            owner = np.concatenate(kids_o)
+    which = np.array(which, dtype=np.int64)
+    return sols[which], visits[which]
 
 
 def _build(config: QueensConfig) -> WorkloadTrace:
@@ -110,11 +195,10 @@ def _build(config: QueensConfig) -> WorkloadTrace:
             new_frontier.extend(states)
         frontier = new_frontier
 
-    solutions = 0
-    for (tid, c, l, r) in frontier:
-        sols, visits = solve_queens(n, c, l, r)
-        solutions += sols
-        tasks[tid] = TraceTask(tid, work=float(visits), label="solve")
+    sols, visits = _count_subtrees(n, (st[1:] for st in frontier))
+    for (tid, _c, _l, _r), work in zip(frontier, visits.tolist()):
+        tasks[tid] = TraceTask(tid, work=float(work), label="solve")
+    solutions = int(sols.sum())
 
     trace = WorkloadTrace(
         f"{n}-queens",

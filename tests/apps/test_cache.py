@@ -85,3 +85,24 @@ def test_stats_and_clear(cache_dir):
     assert str(trace_cache_dir()) == stats["dir"]
     assert clear_trace_cache() == 1
     assert trace_cache_stats()["entries"] == 0
+
+
+def test_failed_write_leaves_no_temp_file(cache_dir, monkeypatch):
+    import repro.apps.cache as cache_mod
+
+    def broken_dump(*args, **kwargs):
+        raise RuntimeError("disk full")
+
+    monkeypatch.setattr(cache_mod.pickle, "dump", broken_dump)
+    with pytest.raises(RuntimeError):
+        cached_trace("tiny", {"n": 9}, lambda: _tiny_trace("x"))
+    assert list(cache_dir.iterdir()) == []
+
+
+def test_clear_removes_temp_files_of_killed_writers(cache_dir):
+    cached_trace("tiny", {"n": 11}, lambda: _tiny_trace("x"))
+    (pkl,) = cache_dir.glob("*.pkl")
+    stale = cache_dir / f"{pkl.name}.4242.tmp"
+    stale.write_bytes(b"half a pickle")
+    assert clear_trace_cache() == 1
+    assert list(cache_dir.iterdir()) == []
